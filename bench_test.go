@@ -352,10 +352,10 @@ func BenchmarkAblationQueryEngine(b *testing.B) {
 	pairs := ugs.RandomPairs(g.NumVertices(), 50, rand.New(rand.NewSource(1)))
 	ctx := context.Background()
 	for _, v := range []struct {
-		name   string
-		scalar bool
-	}{{"batch", false}, {"scalar", true}} {
-		opts := mc.Options{Samples: 50, Seed: 1, Scalar: v.scalar}
+		name  string
+		lanes int
+	}{{"batch", 0}, {"scalar", 1}} {
+		opts := mc.Options{Samples: 50, Seed: 1, Lanes: v.lanes}
 		b.Run("reliability/"+v.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := ugs.Reliability(ctx, g, pairs, opts); err != nil {

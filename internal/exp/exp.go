@@ -27,12 +27,10 @@ type Config struct {
 	Seed int64
 	// Workers is the Monte-Carlo parallelism (0 = GOMAXPROCS).
 	Workers int
-	// ScalarQueries forces the Monte-Carlo estimators onto the scalar
-	// one-world-per-traversal path instead of the bit-parallel 64-world
-	// batch engine (the ablation; results are bit-identical either way).
-	ScalarQueries bool
-	// Lanes pins the batch-engine world width (64, 128 or 256 lanes).
-	// 0 lets the planner choose; results are bit-identical at any width.
+	// Lanes pins the Monte-Carlo world width: 1 is the scalar
+	// one-world-per-traversal ablation, 64, 128 or 256 the batch-engine
+	// lanes. 0 lets the planner choose; results are bit-identical at any
+	// width.
 	Lanes int
 	// FanOut pins the pair-estimator source group size (1 = one traversal
 	// per source, the per-source ablation; 2..64 = explicit multi-source

@@ -183,8 +183,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative samples", Options{Samples: -1}, ErrSampleCount},
 		{"negative offset", Options{Offset: -5}, ErrSampleCount},
 		{"bad lane width", Options{Lanes: 32}, ErrLaneWidth},
-		{"scalar contradicts lanes", Options{Scalar: true, Lanes: 128}, ErrLaneWidth},
-		{"target with scalar", Options{Scalar: true, Target: WithConfidence(0.05, 0.05)}, ErrScalarTarget},
 		{"target with lanes 1", Options{Lanes: 1, Target: WithConfidence(0.05, 0.05)}, ErrScalarTarget},
 		{"eps zero", Options{Target: &Target{Eps: 0}}, ErrConfidence},
 		{"eps too big", Options{Target: &Target{Eps: 1.5}}, ErrConfidence},
@@ -199,7 +197,7 @@ func TestOptionsValidate(t *testing.T) {
 	good := []Options{
 		{},
 		{Samples: 500, Lanes: 256, Workers: 3},
-		{Scalar: true},
+		{Lanes: 1},
 		{Lanes: 128, Target: WithConfidence(0.02, 0.1)},
 	}
 	for _, o := range good {

@@ -22,24 +22,20 @@ type Options struct {
 	Seed int64
 	// Workers is the parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// Scalar forces estimators that support the bit-parallel batch engine
-	// (reliability, shortest distance, connectivity) onto the
-	// one-world-per-traversal path. It is the ablation and debugging
-	// switch: both paths are bit-identical on the same Seed, the batch
-	// path is just faster. Equivalent to Lanes: 1.
-	Scalar bool
 	// Lanes selects the batch width for estimators that support the
-	// bit-parallel engine: 0 is automatic (the planner picks from graph
-	// size and query shape), 1 is the scalar ablation, and 64, 128 or 256
-	// select an explicit WorldBatch width. The width is an execution
-	// choice only — estimates are bit-identical across all of them.
+	// bit-parallel engine (reliability, shortest distance, connectivity):
+	// 0 is automatic (the planner picks from the query kind and sample
+	// budget), 1 is the scalar one-world-per-traversal ablation, and 64,
+	// 128 or 256 select an explicit WorldBatch width. The width is an
+	// execution choice only — estimates are bit-identical across all of
+	// them.
 	Lanes int
 	// FanOut selects how many distinct query sources a pair estimator
-	// traversal carries at once: 0 is automatic (the planner probes whether
-	// grouping pays on this graph), 1 forces one traversal per source (the
-	// per-source ablation), and 2..64 pin an explicit group size. Like
-	// Lanes, it is an execution choice only — per-pair estimates are
-	// bit-identical across every fan-out.
+	// traversal carries at once: 0 is automatic (a fixed group size per
+	// lane width), 1 forces one traversal per source (the per-source
+	// ablation), and 2..64 pin an explicit group size. Like Lanes, it is
+	// an execution choice only — per-pair estimates are bit-identical
+	// across every fan-out.
 	FanOut int
 	// Target, when non-nil, switches supporting estimators from the fixed
 	// Samples budget to sequential stopping: batches are drawn in
@@ -74,8 +70,7 @@ var (
 	// 128, 256}.
 	ErrLaneWidth = errors.New("mc: invalid lane width")
 	// ErrScalarTarget rejects a confidence target combined with the scalar
-	// ablation (Scalar or Lanes: 1): sequential stopping runs on the batch
-	// engine.
+	// ablation (Lanes: 1): sequential stopping runs on the batch engine.
 	ErrScalarTarget = errors.New("mc: confidence target requires the batch engine")
 	// ErrConfidence rejects confidence targets with out-of-range Eps,
 	// Delta or an empty sample schedule.
@@ -106,15 +101,12 @@ func (o Options) Validate() error {
 	default:
 		return fmt.Errorf("%w: %d (want auto=0, 1, 64, 128 or 256)", ErrLaneWidth, o.Lanes)
 	}
-	if o.Scalar && o.Lanes > 1 {
-		return fmt.Errorf("%w: Scalar contradicts Lanes %d", ErrLaneWidth, o.Lanes)
-	}
 	if o.FanOut < 0 || o.FanOut > MaxFanOut {
 		return fmt.Errorf("%w: %d (want auto=0, 1, or 2..%d)", ErrSourceFanOut, o.FanOut, MaxFanOut)
 	}
 	if o.Target != nil {
-		if o.Scalar || o.Lanes == 1 {
-			return fmt.Errorf("%w: remove the Scalar/Lanes:1 ablation or the Target", ErrScalarTarget)
+		if o.Lanes == 1 {
+			return fmt.Errorf("%w: remove the Lanes: 1 ablation or the Target", ErrScalarTarget)
 		}
 		if err := o.Target.validate(); err != nil {
 			return err
@@ -132,9 +124,6 @@ func (o Options) WithDefaults() Options {
 	}
 	if o.Workers <= 0 {
 		o.Workers = defaultWorkers()
-	}
-	if o.Scalar && o.Lanes == 0 {
-		o.Lanes = 1
 	}
 	return o
 }

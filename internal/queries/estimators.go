@@ -197,8 +197,8 @@ func pairStats(ctx context.Context, g *ugraph.Graph, pairs []Pair, opts mc.Optio
 	if opts.Target != nil {
 		return pairStatsAdaptive(ctx, g, pairs, opts)
 	}
-	lanes := planLanes(g, opts, KindPair)
-	fan := planFanOut(g, opts, countDistinctSources(pairs), lanes)
+	lanes := planLanes(opts, KindPair)
+	fan := planFanOut(opts, countDistinctSources(pairs), lanes)
 	res, err := pairStatsFixed(ctx, g, pairs, opts, lanes, fan)
 	if err != nil {
 		return nil, mc.RunInfo{}, err
@@ -250,15 +250,12 @@ func pairStatsFixed(ctx context.Context, g *ugraph.Graph, pairs []Pair, opts mc.
 // Options.Offset, so no world is ever redrawn), and between rounds every
 // pair's Bernoulli reliability CI is checked against the target. The lane
 // width and source fan-out are planned once and pinned for all rounds
-// (fan-out never changes results, but pinning keeps every round on the
-// calibrated execution plan).
+// (neither changes results, but pinning keeps every round on one execution
+// plan).
 func pairStatsAdaptive(ctx context.Context, g *ugraph.Graph, pairs []Pair, opts mc.Options) ([]pairResult, mc.RunInfo, error) {
 	t := opts.Target.WithDefaults()
-	lanes := planLanes(g, opts, KindPair)
-	if lanes < ugraph.BatchLanes {
-		lanes = ugraph.BatchLanes
-	}
-	fan := planFanOut(g, opts, countDistinctSources(pairs), lanes)
+	lanes := planLanes(opts, KindPair)
+	fan := planFanOut(opts, countDistinctSources(pairs), lanes)
 	acc := make([]pairResult, len(pairs))
 	run := func(offset, n int) error {
 		o := opts
@@ -438,7 +435,7 @@ func ConnectedProbabilityRun(ctx context.Context, g *ugraph.Graph, opts mc.Optio
 	if opts.Target != nil {
 		return connectedAdaptive(ctx, g, opts)
 	}
-	st, err := connectedFixed(ctx, g, opts, planLanes(g, opts, KindConnectivity))
+	st, err := connectedFixed(ctx, g, opts, planLanes(opts, KindConnectivity))
 	if err != nil {
 		return 0, mc.RunInfo{}, err
 	}
@@ -483,10 +480,7 @@ func connectedBatch[V ugraph.Vec](ctx context.Context, g *ugraph.Graph, opts mc.
 
 func connectedAdaptive(ctx context.Context, g *ugraph.Graph, opts mc.Options) (float64, mc.RunInfo, error) {
 	t := opts.Target.WithDefaults()
-	lanes := planLanes(g, opts, KindConnectivity)
-	if lanes < ugraph.BatchLanes {
-		lanes = ugraph.BatchLanes
-	}
+	lanes := planLanes(opts, KindConnectivity)
 	acc := hitStats{}
 	run := func(offset, n int) error {
 		o := opts

@@ -148,7 +148,7 @@ func TestBatchScalarEquivalence(t *testing.T) {
 	pairs := RandomPairs(g.NumVertices(), 25, rng)
 	for _, samples := range []int{1, 50, 64, 100, 130, 257} {
 		for _, workers := range []int{1, 8} {
-			scalar := mc.Options{Samples: samples, Seed: 77, Workers: workers, Scalar: true}
+			scalar := mc.Options{Samples: samples, Seed: 77, Workers: workers, Lanes: 1}
 			rlS, err := Reliability(bg(), g, pairs, scalar)
 			if err != nil {
 				t.Fatal(err)

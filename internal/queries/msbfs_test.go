@@ -281,9 +281,10 @@ func TestMSBFSZeroSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestPlanFanOut pins the planner's fan-out clamps: explicit choices are
+// TestPlanFanOut pins the planner's fan-out rule: explicit choices are
 // honored up to the distinct-source count, single-source queries never
-// group, and the scalar path takes the full source mask automatically.
+// group, the scalar path takes the full source mask automatically, and each
+// batch width has one fixed automatic group size.
 func TestPlanFanOut(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	g := randomQueryGraph(rng, 30, 0.2)
@@ -292,22 +293,23 @@ func TestPlanFanOut(t *testing.T) {
 		distinct int
 		want     int
 	}{
-		{mc.Options{FanOut: 16}, 256, 16},       // explicit, plenty of sources
-		{mc.Options{FanOut: 16}, 5, 5},          // clamped to distinct sources
-		{mc.Options{FanOut: 1}, 256, 1},         // per-source ablation
-		{mc.Options{}, 1, 1},                    // nothing to group
-		{mc.Options{Scalar: true}, 256, 64},     // scalar auto: full mask
-		{mc.Options{Scalar: true}, 10, 10},      // scalar auto, clamped
-		{mc.Options{Lanes: 1, FanOut: 3}, 9, 3}, // explicit on scalar path
+		{mc.Options{FanOut: 16}, 256, 16},         // explicit, plenty of sources
+		{mc.Options{FanOut: 16}, 5, 5},            // clamped to distinct sources
+		{mc.Options{FanOut: 1}, 256, 1},           // per-source ablation
+		{mc.Options{}, 1, 1},                      // nothing to group
+		{mc.Options{Lanes: 1}, 256, 64},           // scalar auto: full mask
+		{mc.Options{Lanes: 1}, 10, 10},            // scalar auto, clamped
+		{mc.Options{Lanes: 1, FanOut: 3}, 9, 3},   // explicit on scalar path
+		{mc.Options{Samples: 64}, 256, 8},         // 64 lanes auto
+		{mc.Options{Samples: 64}, 4, 4},           // 64 lanes auto, clamped
+		{mc.Options{Samples: 500}, 256, 1},        // 256 lanes auto: per source
+		{mc.Options{Lanes: 128}, 256, 4},          // 128 lanes auto
+		{mc.Options{Lanes: 256, FanOut: 2}, 9, 2}, // explicit on 256 lanes
 	}
 	for i, c := range cases {
 		o := c.opts.WithDefaults()
 		if got := PlanFanOut(g, o, c.distinct, KindPair); got != c.want {
 			t.Errorf("case %d (%+v, distinct=%d): fan-out %d, want %d", i, c.opts, c.distinct, got, c.want)
 		}
-	}
-	// Auto on the batch path returns a calibrated size in range.
-	if got := PlanFanOut(g, mc.Options{Samples: 500}.WithDefaults(), 256, KindPair); got < 1 || got > mc.MaxFanOut {
-		t.Errorf("auto fan-out %d out of range [1,%d]", got, mc.MaxFanOut)
 	}
 }

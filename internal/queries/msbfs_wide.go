@@ -31,8 +31,10 @@ import (
 // level structure stay bit-identical to the reference, which
 // TestMSBFSSpecializedMatchesGeneric replays against every kernel.
 //
-// The specialized group sizes (64×4, 64×8, 128×4, 256×2) are the ones the
-// fan-out planner probes; other sizes run the generic loop.
+// The specialized group sizes (64×4, 64×8, 128×4, 256×2) cover the
+// planner's automatic fan-outs (autoFanOut, clamped to the distinct-source
+// count) and the forced sizes BenchmarkPlannerRegret measures; other sizes
+// run the generic loop.
 
 func runLevelsMS64x4(b *MSBFS[ugraph.Vec64], off []int32) {
 	arcs := b.arcs

@@ -1,12 +1,8 @@
 package queries
 
 import (
-	"sync"
-	"time"
-
-	"ugs/internal/ugraph"
-
 	"ugs/internal/mc"
+	"ugs/internal/ugraph"
 )
 
 // Kind classifies a query for the execution planner: pair queries
@@ -26,52 +22,32 @@ const (
 	KindVector
 )
 
-// Planner picks the lane width for estimator runs whose Options leave it to
-// automatic (Lanes: 0). The choice is a pure execution decision — every
-// width returns bit-identical estimates — so the planner optimizes
-// throughput only: vector kinds are forced scalar, tiny budgets skip batch
-// setup, small fixed budgets stay at one machine word, and large budgets go
-// to whichever wide width a one-time per-graph calibration probe measures
-// fastest (wider lanes amortize traversal control flow but touch more
-// bytes per arc, so the winner is a property of the graph's size and
-// structure, not a constant).
-type Planner struct {
-	mu    sync.Mutex
-	plans map[*ugraph.Graph]int
-	fans  map[fanPlanKey]int
-}
-
-// fanPlanKey caches fan-out calibrations per (graph, lane width): the
-// trade-off between per-source and grouped traversals depends on how much
-// per-arc mask work a lane width does relative to the shared arc stream.
-type fanPlanKey struct {
-	g     *ugraph.Graph
-	lanes int
-}
-
-// DefaultPlanner serves every run that does not carry its own planner.
-var DefaultPlanner = &Planner{}
-
-// probeRounds is how many fill+traversal rounds the calibration probe times
-// per width. Two rounds keep the probe under a dozen traversals total while
-// stepping past first-touch cache effects.
-const probeRounds = 2
+// wideLanes is the width of fixed budgets beyond one machine word. With
+// the sampled-world cache warm, a 512-sample query is all traversal, and
+// 256 lanes traverse four words of worlds per arc visit: in
+// BenchmarkPlannerRegret 64 lanes is 9–32% slower there. Without the cache
+// 64 lanes is up to 27% faster, within the spread in all but two cells
+// (README "Planner" has the table).
+const wideLanes = 4 * ugraph.BatchLanes
 
 // planLanes resolves the lane width an estimator run will execute at: the
-// explicit Options choice when one was made (Scalar / Lanes), otherwise the
-// planner's pick for this graph, query kind and sample budget. The result
-// is always one of 1, 64, 128, 256. opts must have passed Validate.
-func planLanes(g *ugraph.Graph, opts mc.Options, kind Kind) int {
-	if kind == KindVector || opts.Scalar || opts.Lanes == 1 {
+// explicit Options.Lanes when one was set, otherwise a fixed rule on the
+// query kind and sample budget. The result is always one of 1, 64, 128,
+// 256. opts must have passed Validate.
+func planLanes(opts mc.Options, kind Kind) int {
+	if kind == KindVector {
 		return 1
 	}
 	if opts.Lanes != 0 {
 		return opts.Lanes
 	}
-	samples := opts.WithDefaults().Samples
+	// Adaptive runs start with a MinSamples round (128 by default) and the
+	// width is pinned for every round: at 256 lanes that first round is one
+	// half-empty batch, which a single worker traverses alone.
 	if opts.Target != nil {
-		samples = opts.Target.WithDefaults().MaxSamples
+		return ugraph.BatchLanes
 	}
+	samples := opts.WithDefaults().Samples
 	// A batch fill costs one pass over the edge list regardless of how many
 	// lanes are active; a handful of worlds is cheaper drawn scalar.
 	if samples <= 8 {
@@ -82,192 +58,56 @@ func planLanes(g *ugraph.Graph, opts mc.Options, kind Kind) int {
 	if samples <= ugraph.BatchLanes {
 		return ugraph.BatchLanes
 	}
-	return DefaultPlanner.wideLanes(g)
+	return wideLanes
 }
 
-// PlanLanes reports the width planLanes would choose — the introspection
-// hook behind the serve stats and the README decision table.
+// PlanLanes reports the width an estimator run with opts would execute at —
+// the introspection hook behind the README decision table and the
+// benchmark's trace. The rule depends on no property of g; g stays in the
+// signature those callers use.
 func PlanLanes(g *ugraph.Graph, opts mc.Options, kind Kind) int {
-	return planLanes(g, opts, kind)
+	return planLanes(opts, kind)
 }
 
-// wideLanes returns the calibrated wide width (64, 128 or 256) for g,
-// probing on first use and caching per graph.
-func (p *Planner) wideLanes(g *ugraph.Graph) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if lanes, ok := p.plans[g]; ok {
-		return lanes
-	}
-	lanes := calibrate(g)
-	if p.plans == nil {
-		p.plans = map[*ugraph.Graph]int{}
-	}
-	p.plans[g] = lanes
-	return lanes
-}
-
-// calibrate times one fill + one source-0 traversal per width on the actual
-// graph and returns the width with the lowest per-world cost. The probe is
-// a few O(|E|) passes — noise on tiny graphs is harmless because every
-// width gives identical results — and runs once per (planner, graph).
-func calibrate(g *ugraph.Graph) int {
-	best, bestCost := ugraph.BatchLanes, probeWidth[ugraph.Vec64](g)
-	if c := probeWidth[ugraph.Vec128](g); c < bestCost {
-		best, bestCost = 2*ugraph.BatchLanes, c
-	}
-	if c := probeWidth[ugraph.Vec256](g); c < bestCost {
-		best = 4 * ugraph.BatchLanes
-	}
-	return best
-}
-
-// probeWidth measures the per-world cost of the batch engine at width V on
-// g: fill a full batch and traverse it from vertex 0, amortized over the
-// lane count.
-func probeWidth[V ugraph.Vec](g *ugraph.Graph) time.Duration {
-	lanes := ugraph.VecLanes[V]()
-	seeds := make([]int64, lanes)
-	for i := range seeds {
-		seeds[i] = int64(i + 1)
-	}
-	wb := ugraph.NewWorldBatch[V](g)
-	bfs := NewMaskBFS[V](g.NumVertices())
-	start := time.Now()
-	for r := 0; r < probeRounds; r++ {
-		ugraph.SampleBatchSeeded(g, seeds, wb)
-		bfs.ReachFrom(wb, 0)
-	}
-	return time.Since(start) / time.Duration(probeRounds*lanes)
-}
-
-// planFanOut resolves the source group size a pair-estimator run uses:
-// the explicit Options.FanOut when one was set, otherwise the planner's
-// calibrated pick for this graph and lane width. The result is clamped to
-// the number of distinct sources (a single-source query never pays group
-// overhead) and is always in 1..mc.MaxFanOut. Like the lane width, fan-out
-// is a pure execution decision — per-pair results are bit-identical across
-// every value. opts must have passed Validate.
-func planFanOut(g *ugraph.Graph, opts mc.Options, distinct, lanes int) int {
-	fan := opts.FanOut
-	if fan == 0 {
-		if distinct < 2 {
-			return 1
-		}
-		if lanes == 1 {
-			// Scalar worlds: the grouped BFS walks each present arc of a
-			// level once for all sources in the group at the cost of one
-			// extra mask word per vertex, so sharing always amortizes —
-			// take the full 64-source mask.
-			fan = mc.MaxFanOut
-		} else {
-			fan = DefaultPlanner.fanOut(g, lanes)
-		}
-	}
-	if fan > distinct {
-		fan = distinct
-	}
-	if fan < 1 {
-		fan = 1
-	}
-	return fan
-}
-
-// PlanFanOut reports the group size planFanOut would choose for a query
-// with the given number of distinct sources — the introspection hook behind
-// the serve stats and tests.
-func PlanFanOut(g *ugraph.Graph, opts mc.Options, distinct int, kind Kind) int {
-	return planFanOut(g, opts, distinct, planLanes(g, opts, kind))
-}
-
-// fanSizes lists, per lane width, the group sizes the fan-out probe tries
-// against the per-source baseline — exactly the sizes msbfs_wide.go carries
-// a hand-specialized kernel for, since the generic slot loop never beats
-// per-source traversals at wide widths.
-var fanSizes = map[int][]int{
-	ugraph.BatchLanes:     {4, 8},
-	2 * ugraph.BatchLanes: {4},
-	4 * ugraph.BatchLanes: {2},
-}
-
-// fanOut returns the calibrated source group size for (g, lanes), probing
-// on first use and caching per (graph, width).
-func (p *Planner) fanOut(g *ugraph.Graph, lanes int) int {
-	key := fanPlanKey{g: g, lanes: lanes}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if fan, ok := p.fans[key]; ok {
-		return fan
-	}
-	var fan int
+// autoFanOut is the source group size of an automatic run at a lane width.
+// Scalar worlds take the full 64-source mask: the grouped BFS walks each
+// present arc of a level once for the whole group at the cost of one extra
+// mask word per vertex, so sharing always amortizes. At batch widths every
+// group slot is a per-vertex state row as wide as the lanes, so grouping
+// pays less the wider the row. In BenchmarkPlannerRegret's 24 cells per
+// width with 16 sources, 8 beats 4 at 64 lanes in all 24, 4 beats per-source
+// passes at 128 lanes in 21, and 2 beats them at 256 lanes in only 5.
+func autoFanOut(lanes int) int {
 	switch lanes {
+	case 1:
+		return mc.MaxFanOut
 	case ugraph.BatchLanes:
-		fan = probeFanOut[ugraph.Vec64](g, fanSizes[lanes])
+		return 8
 	case 2 * ugraph.BatchLanes:
-		fan = probeFanOut[ugraph.Vec128](g, fanSizes[lanes])
+		return 4
 	default:
-		fan = probeFanOut[ugraph.Vec256](g, fanSizes[4*ugraph.BatchLanes])
-	}
-	if p.fans == nil {
-		p.fans = map[fanPlanKey]int{}
-	}
-	p.fans[key] = fan
-	return fan
-}
-
-// probeFanOut times, on one filled batch of the actual graph, a sweep of
-// per-source traversals against multi-source passes at each candidate group
-// size, from sources spread across the vertex range. Like the width probe
-// it is a handful of O(|E|) passes that runs once per (planner, graph,
-// width); a noisy pick is harmless because every fan-out gives identical
-// results.
-func probeFanOut[V ugraph.Vec](g *ugraph.Graph, sizes []int) int {
-	n := g.NumVertices()
-	nsrc := 16
-	if nsrc > n {
-		nsrc = n
-	}
-	if nsrc < 2 {
 		return 1
 	}
-	srcs := make([]int, nsrc)
-	for i := range srcs {
-		srcs[i] = i * n / nsrc
-	}
-	lanes := ugraph.VecLanes[V]()
-	seeds := make([]int64, lanes)
-	for i := range seeds {
-		seeds[i] = int64(i + 1)
-	}
-	wb := ugraph.NewWorldBatch[V](g)
-	ugraph.SampleBatchSeeded(g, seeds, wb)
+}
 
-	single := NewMaskBFS[V](n)
-	start := time.Now()
-	for r := 0; r < probeRounds; r++ {
-		for _, s := range srcs {
-			single.ReachFrom(wb, s)
-		}
+// planFanOut resolves the source group size a pair-estimator run uses: the
+// explicit Options.FanOut when one was set, otherwise autoFanOut at the
+// planned lane width. The result is clamped to the number of distinct
+// sources (a single-source query never pays group overhead) and is always
+// in 1..mc.MaxFanOut. Like the lane width, fan-out is a pure execution
+// decision — per-pair results are bit-identical across every value. opts
+// must have passed Validate.
+func planFanOut(opts mc.Options, distinct, lanes int) int {
+	fan := opts.FanOut
+	if fan == 0 {
+		fan = autoFanOut(lanes)
 	}
-	bestFan, bestCost := 1, time.Since(start)
-	for _, fan := range sizes {
-		if fan > nsrc {
-			break
-		}
-		ms := NewMSBFS[V](n, fan)
-		start = time.Now()
-		for r := 0; r < probeRounds; r++ {
-			for base := 0; base < nsrc; base += fan {
-				end := base + fan
-				if end > nsrc {
-					end = nsrc
-				}
-				ms.ReachFrom(wb, srcs[base:end])
-			}
-		}
-		if c := time.Since(start); c < bestCost {
-			bestFan, bestCost = fan, c
-		}
-	}
-	return bestFan
+	return max(1, min(fan, distinct))
+}
+
+// PlanFanOut reports the group size an estimator run with opts would use
+// for a query with the given number of distinct sources — the introspection
+// hook behind the benchmark's trace and tests. Like PlanLanes, it ignores g.
+func PlanFanOut(g *ugraph.Graph, opts mc.Options, distinct int, kind Kind) int {
+	return planFanOut(opts, distinct, planLanes(opts, kind))
 }

@@ -382,8 +382,8 @@ func TestConcurrentLoadSmoke(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				// Adaptive and per-vertex queries exercise the planner
-				// calibration probe and the world-cache under concurrency;
+				// Adaptive and per-vertex queries exercise the wide-lane
+				// and scalar plans and the world-cache under concurrency;
 				// adaptive results must be as deterministic as fixed ones.
 				var adp QueryResponse
 				err = post("/v1/query", map[string]any{
