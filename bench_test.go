@@ -180,10 +180,6 @@ func BenchmarkWorldBatchSampling(b *testing.B) {
 		wb := ugs.NewWorldBatch[ugs.Vec64](g)
 		run(b, func(s []int64) { ugs.SampleWorldBatch(g, s, wb) }, 64)
 	})
-	b.Run("128", func(b *testing.B) {
-		wb := ugs.NewWorldBatch[ugs.Vec128](g)
-		run(b, func(s []int64) { ugs.SampleWorldBatch(g, s, wb) }, 128)
-	})
 	b.Run("256", func(b *testing.B) {
 		wb := ugs.NewWorldBatch[ugs.Vec256](g)
 		run(b, func(s []int64) { ugs.SampleWorldBatch(g, s, wb) }, 256)
@@ -380,7 +376,7 @@ func BenchmarkAblationQueryEngine(b *testing.B) {
 	}
 	// Wide-lane widths on a budget large enough to fill 256 lanes, plus the
 	// sequential-stopping schedule against the fixed default.
-	for _, lanes := range []int{64, 128, 256} {
+	for _, lanes := range []int{64, 256} {
 		opts := mc.Options{Samples: 512, Seed: 1, Lanes: lanes}
 		b.Run(fmt.Sprintf("reliability/512x%d", lanes), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

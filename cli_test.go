@@ -233,6 +233,13 @@ func TestInProcessExitCodes(t *testing.T) {
 	if code, out, _ := runTool(t, cli.RunExp, "-list"); code != 0 || !strings.Contains(out, "table1") {
 		t.Errorf("ugs-exp -list: exit %d, out %q", code, out)
 	}
+	// The 128-lane width is gone: both tools reject it as a usage error.
+	if code, _, errs := runTool(t, cli.RunExp, "-lanes", "128", "table1"); code != 2 || !strings.Contains(errs, "invalid lane width") {
+		t.Errorf("ugs-exp -lanes 128: exit %d, stderr %q", code, errs)
+	}
+	if code, _, errs := runTool(t, cli.RunServe, "-addr", "127.0.0.1:0", "-lanes", "128"); code != 2 || !strings.Contains(errs, "invalid lane width") {
+		t.Errorf("ugs-serve -lanes 128: exit %d, stderr %q", code, errs)
+	}
 }
 
 var (

@@ -341,14 +341,14 @@ func main() {
 	)
 
 	// Wide-lane benchmarks: the same estimators on a 512-sample budget at
-	// every explicit engine width. 512 samples fill 8 / 4 / 2 batches at 64
-	// / 128 / 256 lanes, so these measure how well wider vectors amortize
-	// traversal control flow and per-fill gather passes. Results are
-	// bit-identical across the three; only ns/op may differ.
+	// every explicit engine width. 512 samples fill 8 / 2 batches at 64 /
+	// 256 lanes, so these measure how well wider vectors amortize traversal
+	// control flow and per-fill gather passes. Results are bit-identical
+	// across the two; only ns/op may differ.
 	wideOpts := func(lanes int) mc.Options {
 		return mc.Options{Samples: 512, Seed: 1, Lanes: lanes}
 	}
-	for _, lanes := range []int{64, 128, 256} {
+	for _, lanes := range []int{64, 256} {
 		lanes := lanes
 		benches = append(benches,
 			struct {

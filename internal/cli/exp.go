@@ -25,8 +25,8 @@ func RunExp(args []string, stdout, stderr io.Writer) int {
 		seed    = fs.Int64("seed", 42, "random seed")
 		workers = fs.Int("workers", 0, "Monte-Carlo parallelism (0 = GOMAXPROCS)")
 		timeout = fs.Duration("timeout", 0, "abort the batch after this duration, checked between sparsification runs (0 = unbounded)")
-		lanes   = fs.String("lanes", "auto", "batch-engine width: auto (planner), 1 (scalar ablation), 64, 128 or 256 world lanes; results are bit-identical at any width")
-		fanOut  = fs.String("fan-out", "auto", "pair-query source group size: auto (planner), 1 (per-source ablation) or 2..64 sources per traversal; results are bit-identical at any fan-out")
+		lanes   = fs.String("lanes", "auto", "batch-engine width: auto (planner), 1 (scalar ablation), 64 or 256 world lanes; results are bit-identical at any width")
+		fanOut  = fs.String("fan-out", "auto", "pair-query source group size: auto (planner), 1 (per-source ablation) or an upper bound of 2..64 sources per traversal (at 64 lanes only groups of 4 and 8 share one; others run per source); results are bit-identical at any fan-out")
 		conf    = fs.String("confidence", "", "adaptive stopping target \"eps[,delta]\" for the pair estimators: sample until every CI half-width ≤ eps at confidence 1−delta (empty = fixed budgets)")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -28,13 +28,12 @@ type Config struct {
 	// Workers is the Monte-Carlo parallelism (0 = GOMAXPROCS).
 	Workers int
 	// Lanes pins the Monte-Carlo world width: 1 is the scalar
-	// one-world-per-traversal ablation, 64, 128 or 256 the batch-engine
-	// lanes. 0 lets the planner choose; results are bit-identical at any
-	// width.
+	// one-world-per-traversal ablation, 64 or 256 the batch-engine lanes.
+	// 0 lets the planner choose; results are bit-identical at any width.
 	Lanes int
-	// FanOut pins the pair-estimator source group size (1 = one traversal
-	// per source, the per-source ablation; 2..64 = explicit multi-source
-	// groups). 0 lets the planner choose; results are bit-identical at any
+	// FanOut bounds the pair-estimator source group size (1 = one
+	// traversal per source, the per-source ablation; 2..64 = an explicit
+	// upper bound, see mc.Options.FanOut). 0 lets the planner choose; results are bit-identical at any
 	// fan-out.
 	FanOut int
 	// ConfEps, when > 0, switches the Monte-Carlo query phases to adaptive

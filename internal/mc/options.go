@@ -25,17 +25,19 @@ type Options struct {
 	// Lanes selects the batch width for estimators that support the
 	// bit-parallel engine (reliability, shortest distance, connectivity):
 	// 0 is automatic (the planner picks from the query kind and sample
-	// budget), 1 is the scalar one-world-per-traversal ablation, and 64,
-	// 128 or 256 select an explicit WorldBatch width. The width is an
-	// execution choice only — estimates are bit-identical across all of
-	// them.
+	// budget), 1 is the scalar one-world-per-traversal ablation, and 64 or
+	// 256 select an explicit WorldBatch width. The width is an execution
+	// choice only — estimates are bit-identical across all of them.
 	Lanes int
-	// FanOut selects how many distinct query sources a pair estimator
-	// traversal carries at once: 0 is automatic (a fixed group size per
-	// lane width), 1 forces one traversal per source (the per-source
-	// ablation), and 2..64 pin an explicit group size. Like Lanes, it is
-	// an execution choice only — per-pair estimates are bit-identical
-	// across every fan-out.
+	// FanOut bounds how many distinct query sources a pair estimator
+	// traversal carries at once: 0 is automatic (the largest group with a
+	// specialized kernel at the lane width), 1 forces one traversal per
+	// source (the per-source ablation), and 2..64 set an explicit group
+	// size. It is an upper bound: a group with no specialized kernel at the
+	// width (at 64 lanes only 4 and 8 have one; scalar worlds take any
+	// size) runs as per-source passes. Like Lanes, it is an execution
+	// choice only — per-pair estimates are bit-identical across every
+	// fan-out.
 	FanOut int
 	// Target, when non-nil, switches supporting estimators from the fixed
 	// Samples budget to sequential stopping: batches are drawn in
@@ -67,7 +69,7 @@ var (
 	// estimates.
 	ErrSampleCount = errors.New("mc: invalid sample count")
 	// ErrLaneWidth rejects lane widths outside {0 (auto), 1 (scalar), 64,
-	// 128, 256}.
+	// 256}.
 	ErrLaneWidth = errors.New("mc: invalid lane width")
 	// ErrScalarTarget rejects a confidence target combined with the scalar
 	// ablation (Lanes: 1): sequential stopping runs on the batch engine.
@@ -81,8 +83,7 @@ var (
 )
 
 // MaxFanOut is the largest source group a multi-source traversal carries:
-// the scalar kernel packs sources into one 64-bit mask per vertex, and the
-// batch kernels size their per-vertex state arrays by it.
+// the scalar kernel packs sources into one 64-bit mask per vertex.
 const MaxFanOut = 64
 
 // Validate rejects nonsensical option combinations with typed errors
@@ -97,9 +98,9 @@ func (o Options) Validate() error {
 		return fmt.Errorf("%w: negative stream offset %d", ErrSampleCount, o.Offset)
 	}
 	switch o.Lanes {
-	case 0, 1, ugraph.BatchLanes, 2 * ugraph.BatchLanes, 4 * ugraph.BatchLanes:
+	case 0, 1, ugraph.BatchLanes, 4 * ugraph.BatchLanes:
 	default:
-		return fmt.Errorf("%w: %d (want auto=0, 1, 64, 128 or 256)", ErrLaneWidth, o.Lanes)
+		return fmt.Errorf("%w: %d (want auto=0, 1, 64 or 256)", ErrLaneWidth, o.Lanes)
 	}
 	if o.FanOut < 0 || o.FanOut > MaxFanOut {
 		return fmt.Errorf("%w: %d (want auto=0, 1, or 2..%d)", ErrSourceFanOut, o.FanOut, MaxFanOut)
@@ -131,16 +132,16 @@ func (o Options) WithDefaults() Options {
 func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // ParseLanes resolves a -lanes flag value: "auto" (or "") is the planner,
-// "1" the scalar ablation, "64"/"128"/"256" the explicit batch widths.
+// "1" the scalar ablation, "64"/"256" the explicit batch widths.
 func ParseLanes(s string) (int, error) {
 	switch s {
 	case "", "auto":
 		return 0, nil
-	case "1", "64", "128", "256":
+	case "1", "64", "256":
 		n, _ := strconv.Atoi(s)
 		return n, nil
 	}
-	return 0, fmt.Errorf("%w: %q (want auto, 1, 64, 128 or 256)", ErrLaneWidth, s)
+	return 0, fmt.Errorf("%w: %q (want auto, 1, 64 or 256)", ErrLaneWidth, s)
 }
 
 // FormatLanes is the inverse of ParseLanes.
@@ -153,7 +154,7 @@ func FormatLanes(lanes int) string {
 
 // ParseFanOut resolves a -fan-out flag value: "auto" (or "") leaves the
 // group size to the planner, "1" forces the per-source ablation, and
-// "2".."64" pin an explicit multi-source group size.
+// "2".."64" set an explicit upper bound on the multi-source group size.
 func ParseFanOut(s string) (int, error) {
 	if s == "" || s == "auto" {
 		return 0, nil

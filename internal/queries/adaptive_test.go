@@ -123,7 +123,7 @@ func TestAdaptiveDeterministicAcrossWorkersAndWidths(t *testing.T) {
 	}
 	ref := run(1, 64)
 	for _, workers := range []int{1, 4, 8} {
-		for _, lanes := range []int{0, 64, 128, 256} {
+		for _, lanes := range []int{0, 64, 256} {
 			if got := run(workers, lanes); got != ref {
 				t.Fatalf("workers=%d lanes=%d: %+v != reference %+v", workers, lanes, got, ref)
 			}
@@ -198,7 +198,8 @@ func TestPlannerWidths(t *testing.T) {
 	}{
 		{"vector always scalar", mc.Options{Samples: 5000}, KindVector, 1},
 		{"explicit scalar", mc.Options{Lanes: 1, Samples: 5000}, KindPair, 1},
-		{"explicit 128", mc.Options{Lanes: 128, Samples: 10}, KindPair, 128},
+		{"explicit 64", mc.Options{Lanes: 64, Samples: 5000}, KindPair, 64},
+		{"explicit 256", mc.Options{Lanes: 256, Samples: 10}, KindPair, 256},
 		{"tiny budget scalar", mc.Options{Samples: 4}, KindPair, 1},
 		{"one-word budget", mc.Options{Samples: 50}, KindConnectivity, 64},
 		{"smallest batch budget", mc.Options{Samples: 9}, KindPair, 64},

@@ -217,31 +217,18 @@ func countDistinctSources(pairs []Pair) int {
 }
 
 // pairStatsFixed dispatches one fixed-budget pass to the engine width and
-// source fan-out the planner (or explicit Options) chose: fan > 1 routes
-// through the multi-source kernels, which group distinct sources into
-// fan-sized traversal passes.
+// source fan-out the planner (or explicit Options) chose.
 func pairStatsFixed(ctx context.Context, g *ugraph.Graph, pairs []Pair, opts mc.Options, lanes, fan int) ([]pairResult, error) {
-	if fan > 1 {
-		switch lanes {
-		case 1:
-			return pairStatsScalarMulti(ctx, g, pairs, opts, fan)
-		case ugraph.BatchLanes:
-			return pairStatsMulti[ugraph.Vec64](ctx, g, pairs, opts, fan)
-		case 2 * ugraph.BatchLanes:
-			return pairStatsMulti[ugraph.Vec128](ctx, g, pairs, opts, fan)
-		default:
-			return pairStatsMulti[ugraph.Vec256](ctx, g, pairs, opts, fan)
-		}
-	}
 	switch lanes {
 	case 1:
+		if fan > 1 {
+			return pairStatsScalarMulti(ctx, g, pairs, opts, fan)
+		}
 		return pairStatsScalar(ctx, g, pairs, opts)
 	case ugraph.BatchLanes:
-		return pairStatsBatch[ugraph.Vec64](ctx, g, pairs, opts)
-	case 2 * ugraph.BatchLanes:
-		return pairStatsBatch[ugraph.Vec128](ctx, g, pairs, opts)
+		return pairStatsBatch[ugraph.Vec64](ctx, g, pairs, opts, fan)
 	default:
-		return pairStatsBatch[ugraph.Vec256](ctx, g, pairs, opts)
+		return pairStatsBatch[ugraph.Vec256](ctx, g, pairs, opts, fan)
 	}
 }
 
@@ -291,59 +278,79 @@ func pairStatsAdaptive(ctx context.Context, g *ugraph.Graph, pairs []Pair, opts 
 	return acc, info, nil
 }
 
-// pairStatsBatch runs one mask-BFS per distinct source per world batch: the
-// traversal settles every lane's distance in a single pass, and the
-// per-target reachability popcount and depth sum fold VecLanes[V] worlds of
-// SP/RL evidence per pair in O(1). Each engine worker reuses one MaskBFS.
-func pairStatsBatch[V ugraph.Vec](ctx context.Context, g *ugraph.Graph, pairs []Pair, opts mc.Options) ([]pairResult, error) {
-	bySource, sources := groupPairsBySource(pairs)
-	return mc.ReduceBatch(ctx, g, opts,
-		func() *MaskBFS[V] { return NewMaskBFS[V](g.NumVertices()) },
-		func() []pairResult { return make([]pairResult, len(pairs)) },
-		func(_ int, wb *ugraph.WorldBatch[V], bfs *MaskBFS[V], acc []pairResult) {
-			lanes := wb.Lanes()
-			for _, s := range sources {
-				reach := bfs.ReachFrom(wb, s)
-				depthSum := bfs.DepthSums()
-				for _, i := range bySource[s] {
-					t := pairs[i].T
-					acc[i].samples += lanes
-					acc[i].reachable += ugraph.VecOnesCount(reach[t])
-					acc[i].distSum += float64(depthSum[t])
-				}
-			}
-		},
-		mergePairResults,
-	)
+// sourceGroups splits the distinct sources into the traversal groups a
+// pass runs at a lane width: fan-sized groups, except that at batch widths a
+// group with no specialized multi-source kernel (hasMSKernel) — the leftover
+// after the full groups, or an explicit size without a kernel — splits into
+// single sources. So every batch group is either one MaskBFS source or one
+// specialized MSBFS pass, and the generic slot loop never runs. Scalar
+// worlds keep every group: MSWorldBFS takes any size.
+func sourceGroups(sources []int, fan, lanes int) [][]int {
+	var groups [][]int
+	for base := 0; base < len(sources); base += fan {
+		grp := sources[base:min(base+fan, len(sources))]
+		if lanes == 1 || hasMSKernel(lanes, len(grp)) {
+			groups = append(groups, grp)
+			continue
+		}
+		for k := range grp {
+			groups = append(groups, grp[k:k+1])
+		}
+	}
+	return groups
 }
 
-// pairStatsMulti runs one multi-source mask-BFS per fan-sized group of
-// distinct sources per world batch: the grouped traversal expands each CSR
-// arc once per level for the whole group, amortizing the arc stream and
-// level control flow across sources the way the lane transposition
-// amortizes them across worlds. Source slots never mix, so every pair's
-// reachability popcount and depth sum are the exact values the per-source
-// path (pairStatsBatch) accumulates. Each engine worker reuses one MSBFS.
-func pairStatsMulti[V ugraph.Vec](ctx context.Context, g *ugraph.Graph, pairs []Pair, opts mc.Options, fan int) ([]pairResult, error) {
+// batchKernels is one engine worker's traversal state on the batch path,
+// each kernel created on its first use.
+type batchKernels[V ugraph.Vec] struct {
+	bfs *MaskBFS[V]
+	ms  *MSBFS[V]
+}
+
+// pairStatsBatch traverses each source group (sourceGroups) once per world
+// batch. A multi-source group runs one specialized MSBFS pass that expands
+// each CSR arc once per level for the whole group, amortizing the arc
+// stream and level control flow across sources the way the lane
+// transposition amortizes them across worlds; a single source runs one
+// MaskBFS. Either way a pair's reachability popcount and depth sum fold
+// VecLanes[V] worlds of SP/RL evidence in O(1), and source slots never mix,
+// so per-pair results are identical for every fan. Each engine worker
+// reuses one instance of each kernel.
+func pairStatsBatch[V ugraph.Vec](ctx context.Context, g *ugraph.Graph, pairs []Pair, opts mc.Options, fan int) ([]pairResult, error) {
 	bySource, sources := groupPairsBySource(pairs)
+	groups := sourceGroups(sources, fan, ugraph.VecLanes[V]())
+	n := g.NumVertices()
 	return mc.ReduceBatch(ctx, g, opts,
-		func() *MSBFS[V] { return NewMSBFS[V](g.NumVertices(), fan) },
+		func() *batchKernels[V] { return &batchKernels[V]{} },
 		func() []pairResult { return make([]pairResult, len(pairs)) },
-		func(_ int, wb *ugraph.WorldBatch[V], ms *MSBFS[V], acc []pairResult) {
+		func(_ int, wb *ugraph.WorldBatch[V], k *batchKernels[V], acc []pairResult) {
 			lanes := wb.Lanes()
-			for base := 0; base < len(sources); base += fan {
-				end := base + fan
-				if end > len(sources) {
-					end = len(sources)
-				}
-				grp := sources[base:end]
-				ms.ReachFrom(wb, grp)
-				for k, s := range grp {
+			for _, grp := range groups {
+				if len(grp) == 1 {
+					if k.bfs == nil {
+						k.bfs = NewMaskBFS[V](n)
+					}
+					s := grp[0]
+					reach := k.bfs.ReachFrom(wb, s)
+					depthSum := k.bfs.DepthSums()
 					for _, i := range bySource[s] {
 						t := pairs[i].T
 						acc[i].samples += lanes
-						acc[i].reachable += ugraph.VecOnesCount(ms.Reach(t, k))
-						acc[i].distSum += float64(ms.DepthSum(t, k))
+						acc[i].reachable += ugraph.VecOnesCount(reach[t])
+						acc[i].distSum += float64(depthSum[t])
+					}
+					continue
+				}
+				if k.ms == nil {
+					k.ms = NewMSBFS[V](n, fan)
+				}
+				k.ms.ReachFrom(wb, grp)
+				for slot, s := range grp {
+					for _, i := range bySource[s] {
+						t := pairs[i].T
+						acc[i].samples += lanes
+						acc[i].reachable += ugraph.VecOnesCount(k.ms.Reach(t, slot))
+						acc[i].distSum += float64(k.ms.DepthSum(t, slot))
 					}
 				}
 			}
@@ -352,22 +359,18 @@ func pairStatsMulti[V ugraph.Vec](ctx context.Context, g *ugraph.Graph, pairs []
 	)
 }
 
-// pairStatsScalarMulti is the scalar-world ablation of pairStatsMulti: one
-// source-bitmask BFS per fan-sized group per world, walking each present
-// arc of a level once for the whole group. Per-pair results are exactly
-// pairStatsScalar's.
+// pairStatsScalarMulti is the scalar-world counterpart of pairStatsBatch's
+// grouped path: one source-bitmask BFS per group per world, walking each
+// present arc of a level once for the whole group. Per-pair results are
+// exactly pairStatsScalar's.
 func pairStatsScalarMulti(ctx context.Context, g *ugraph.Graph, pairs []Pair, opts mc.Options, fan int) ([]pairResult, error) {
 	bySource, sources := groupPairsBySource(pairs)
+	groups := sourceGroups(sources, fan, 1)
 	return mc.Reduce(ctx, g, opts,
 		func() *MSWorldBFS { return NewMSWorldBFS(g.NumVertices(), fan) },
 		func() []pairResult { return make([]pairResult, len(pairs)) },
 		func(_ int, w *ugraph.World, ms *MSWorldBFS, acc []pairResult) {
-			for base := 0; base < len(sources); base += fan {
-				end := base + fan
-				if end > len(sources) {
-					end = len(sources)
-				}
-				grp := sources[base:end]
+			for _, grp := range groups {
 				ms.Run(w, grp)
 				for k, s := range grp {
 					for _, i := range bySource[s] {
@@ -459,8 +462,6 @@ func connectedFixed(ctx context.Context, g *ugraph.Graph, opts mc.Options, lanes
 		)
 	case ugraph.BatchLanes:
 		return connectedBatch[ugraph.Vec64](ctx, g, opts)
-	case 2 * ugraph.BatchLanes:
-		return connectedBatch[ugraph.Vec128](ctx, g, opts)
 	default:
 		return connectedBatch[ugraph.Vec256](ctx, g, opts)
 	}

@@ -5,8 +5,8 @@ import (
 )
 
 // MaskBFS is a reusable bit-parallel breadth-first search over the world
-// lanes of a ugraph.WorldBatch — 64, 128 or 256 lanes depending on the
-// vector width V. One level-synchronous traversal propagates a per-vertex
+// lanes of a ugraph.WorldBatch — 64 or 256 lanes depending on the vector
+// width V. One level-synchronous traversal propagates a per-vertex
 // lane mask (bit l = "reached in world l") over the graph's CSR adjacency,
 // answering connectivity, reliability and hop-distance queries for all
 // lanes at once: an edge transmits exactly the frontier lanes that contain
@@ -103,15 +103,13 @@ func (b *MaskBFS[V]) ReachFrom(wb *ugraph.WorldBatch[V], src int) []V {
 	// The compiler only keeps arrays of length ≤ 1 in registers, so the
 	// generic level loop would bounce each multi-word vector through memory
 	// three times per arc (and even the one-word width pays for per-arc
-	// struct copies). Every width dispatches to a hand-specialized level
-	// loop (maskbfs_wide.go) that holds the frontier words in scalar locals;
-	// each is a transcription of runLevels, the generic reference the
-	// equivalence tests replay (TestMaskBFSSpecializedMatchesGeneric).
+	// struct copies). Both engine widths dispatch to a hand-specialized
+	// level loop (maskbfs_wide.go) that holds the frontier words in scalar
+	// locals; each is a transcription of runLevels, the generic reference
+	// the equivalence tests replay (TestMaskBFSSpecializedMatchesGeneric).
 	switch bb := any(b).(type) {
 	case *MaskBFS[ugraph.Vec64]:
 		runLevels64(bb, off)
-	case *MaskBFS[ugraph.Vec128]:
-		runLevels128(bb, off)
 	case *MaskBFS[ugraph.Vec256]:
 		runLevels256(bb, off)
 	default:

@@ -2,6 +2,7 @@ package queries
 
 import (
 	"math/bits"
+	"slices"
 
 	"ugs/internal/ugraph"
 )
@@ -69,37 +70,37 @@ func (b *MSBFS[V]) ReachFrom(wb *ugraph.WorldBatch[V], srcs []int) {
 	// Same registerization story as MaskBFS.ReachFrom, with the group size
 	// as a second specialization axis: the generic slot loop re-loads every
 	// frontier word from memory per arc and pays a bounds check per slot,
-	// so the planner-preferred (width, fan) combinations dispatch to
-	// hand-specialized level loops (msbfs_wide.go) that view each vertex's
-	// record as a fixed-size array and hold the whole frontier group in
-	// scalar locals across the arc loop. Other group sizes fall back to the
-	// generic reference loop, which is also what
+	// which made it 2–3× slower than per-source MaskBFS passes. The group
+	// sizes in msKernelFans dispatch to hand-specialized level loops
+	// (msbfs_wide.go) that view each vertex's record as a fixed-size array
+	// and hold the whole frontier group in scalar locals across the arc
+	// loop. The pair estimators send only those groups here (hasMSKernel);
+	// any other size runs the generic reference loop, which is also what
 	// TestMSBFSSpecializedMatchesGeneric replays against each kernel.
-	switch bb := any(b).(type) {
-	case *MSBFS[ugraph.Vec64]:
+	if bb, ok := any(b).(*MSBFS[ugraph.Vec64]); ok {
 		switch b.group {
 		case 4:
 			runLevelsMS64x4(bb, off)
+			return
 		case 8:
 			runLevelsMS64x8(bb, off)
-		default:
-			b.runLevels(off)
+			return
 		}
-	case *MSBFS[ugraph.Vec128]:
-		if b.group == 4 {
-			runLevelsMS128x4(bb, off)
-		} else {
-			b.runLevels(off)
-		}
-	case *MSBFS[ugraph.Vec256]:
-		if b.group == 2 {
-			runLevelsMS256x2(bb, off)
-		} else {
-			b.runLevels(off)
-		}
-	default:
-		b.runLevels(off)
 	}
+	b.runLevels(off)
+}
+
+// msKernelFans are the source group sizes with a hand-specialized
+// multi-source kernel, largest first. Only the 64-lane width has any: the
+// 128×4 kernel went with the 128-lane width, and the 256×2 one beat
+// per-source passes in only 5 of 24 BenchmarkPlannerRegret cells.
+var msKernelFans = [...]int{8, 4}
+
+// hasMSKernel reports whether a group of size sources at the given lane
+// width runs as one specialized multi-source traversal. The pair
+// estimators run every other group as per-source MaskBFS passes.
+func hasMSKernel(lanes, size int) bool {
+	return lanes == ugraph.BatchLanes && slices.Contains(msKernelFans[:], size)
 }
 
 // Reach returns the reachability mask of vertex v for source slot k of the

@@ -32,8 +32,8 @@ const wideLanes = 4 * ugraph.BatchLanes
 
 // planLanes resolves the lane width an estimator run will execute at: the
 // explicit Options.Lanes when one was set, otherwise a fixed rule on the
-// query kind and sample budget. The result is always one of 1, 64, 128,
-// 256. opts must have passed Validate.
+// query kind and sample budget. The result is always one of 1, 64, 256.
+// opts must have passed Validate.
 func planLanes(opts mc.Options, kind Kind) int {
 	if kind == KindVector {
 		return 1
@@ -69,38 +69,40 @@ func PlanLanes(g *ugraph.Graph, opts mc.Options, kind Kind) int {
 	return planLanes(opts, kind)
 }
 
-// autoFanOut is the source group size of an automatic run at a lane width.
-// Scalar worlds take the full 64-source mask: the grouped BFS walks each
-// present arc of a level once for the whole group at the cost of one extra
-// mask word per vertex, so sharing always amortizes. At batch widths every
-// group slot is a per-vertex state row as wide as the lanes, so grouping
-// pays less the wider the row. In BenchmarkPlannerRegret's 24 cells per
-// width with 16 sources, 8 beats 4 at 64 lanes in all 24, 4 beats per-source
-// passes at 128 lanes in 21, and 2 beats them at 256 lanes in only 5.
-func autoFanOut(lanes int) int {
-	switch lanes {
-	case 1:
-		return mc.MaxFanOut
-	case ugraph.BatchLanes:
-		return 8
-	case 2 * ugraph.BatchLanes:
-		return 4
-	default:
-		return 1
+// autoFanOut is the source group size of an automatic run at a lane width
+// for a query with distinct sources. Scalar worlds take up to the full
+// 64-source mask: the grouped BFS walks each present arc of a level once
+// for the whole group at the cost of one extra mask word per vertex, so
+// sharing always amortizes, at any group size. At batch widths every group
+// slot is a per-vertex state row as wide as the lanes, and only the sizes
+// with a specialized kernel pay: 64 lanes takes the largest of
+// msKernelFans that fits (8 beats 4 in all 24 of BenchmarkPlannerRegret's
+// 16-source cells), and 256 lanes runs per source.
+func autoFanOut(lanes, distinct int) int {
+	if lanes == 1 {
+		return min(mc.MaxFanOut, distinct)
 	}
+	for _, fan := range msKernelFans {
+		if hasMSKernel(lanes, fan) && fan <= distinct {
+			return fan
+		}
+	}
+	return 1
 }
 
 // planFanOut resolves the source group size a pair-estimator run uses: the
 // explicit Options.FanOut when one was set, otherwise autoFanOut at the
 // planned lane width. The result is clamped to the number of distinct
 // sources (a single-source query never pays group overhead) and is always
-// in 1..mc.MaxFanOut. Like the lane width, fan-out is a pure execution
-// decision — per-pair results are bit-identical across every value. opts
-// must have passed Validate.
+// in 1..mc.MaxFanOut. An explicit size is an upper bound on what one
+// traversal carries: a group without a specialized kernel at the width (see
+// hasMSKernel) runs as per-source passes. Like the lane width, fan-out is a
+// pure execution decision — per-pair results are bit-identical across
+// every value. opts must have passed Validate.
 func planFanOut(opts mc.Options, distinct, lanes int) int {
 	fan := opts.FanOut
 	if fan == 0 {
-		fan = autoFanOut(lanes)
+		fan = autoFanOut(lanes, distinct)
 	}
 	return max(1, min(fan, distinct))
 }

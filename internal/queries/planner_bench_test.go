@@ -60,14 +60,24 @@ func (c *warmFills) GetOrFill(key ugraph.FillKey, fill func() []uint64) []uint64
 	return b
 }
 
-// BenchmarkPlannerRegret times every forced (lanes, fan-out) execution plan
-// of a reliability query against the automatic one, per graph, budget and
+// forcedPlans are the (lanes, fan-out) plans BenchmarkPlannerRegret forces:
+// per-source passes at every width, plus every group size with a
+// specialized kernel at 64 lanes and the same sizes on scalar worlds. Other
+// batch sizes are not plans of their own: their groups run per source.
+var forcedPlans = []struct{ lanes, fan int }{
+	{1, 1}, {1, 4}, {1, 8},
+	{ugraph.BatchLanes, 1}, {ugraph.BatchLanes, 4}, {ugraph.BatchLanes, 8},
+	{4 * ugraph.BatchLanes, 1},
+}
+
+// BenchmarkPlannerRegret times every forced execution plan (forcedPlans) of
+// a reliability query against the automatic one, per graph, budget and
 // distinct-source count. Auto's regret in a cell is its time over the
 // fastest forced plan's. Budgets are 64 and 512 samples and an adaptive run
 // (eps 0.05, capped at ugs-serve's default 20000 samples), each with every
 // world sampled (cold) and with every fill served from a warm cache (warm);
-// queries carry 16 pairs from the first 1, 4 or 16 vertices (the
-// generators' hubs). Forced
+// queries carry 16 pairs from the first 1, 2, 3, 4, 6 or 16 vertices (the
+// generators' hubs; 2, 3 and 6 leave a group smaller than 4 or 8). Forced
 // fan-outs above the source count are skipped — the planner clamps them to
 // it — as is the scalar width on adaptive runs, which need the batch engine,
 // and on warm ones, whose per-world path never reads the cache.
@@ -82,7 +92,7 @@ func BenchmarkPlannerRegret(b *testing.B) {
 	}
 	for _, rg := range regretGraphs(b) {
 		for _, bud := range budgets {
-			for _, nsrc := range []int{1, 4, 16} {
+			for _, nsrc := range []int{1, 2, 3, 4, 6, 16} {
 				for _, warm := range []bool{false, true} {
 					rng := rand.New(rand.NewSource(int64(nsrc)))
 					pairs := make([]Pair, 16)
@@ -113,16 +123,11 @@ func BenchmarkPlannerRegret(b *testing.B) {
 					}
 					cell := fmt.Sprintf("%s/%s/%s/src%d/", rg.name, bud.name, fills, nsrc)
 					b.Run(cell+"auto", run(0, 0))
-					for _, lanes := range []int{1, ugraph.BatchLanes, 2 * ugraph.BatchLanes, 4 * ugraph.BatchLanes} {
-						if lanes == 1 && (bud.opts.Target != nil || warm) {
+					for _, p := range forcedPlans {
+						if p.fan > nsrc || p.lanes == 1 && (bud.opts.Target != nil || warm) {
 							continue
 						}
-						for _, fan := range []int{1, 2, 4, 8} {
-							if fan > nsrc {
-								break
-							}
-							b.Run(fmt.Sprintf("%slanes=%d/fan=%d", cell, lanes, fan), run(lanes, fan))
-						}
+						b.Run(fmt.Sprintf("%slanes=%d/fan=%d", cell, p.lanes, p.fan), run(p.lanes, p.fan))
 					}
 				}
 			}

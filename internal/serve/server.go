@@ -50,12 +50,12 @@ type Config struct {
 	ConvertDir string
 	// Lanes is the default bit-parallel engine width for queries that do
 	// not set "lanes" themselves: 0 = the planner (auto), 1 = the scalar
-	// ablation, 64/128/256 = explicit WorldBatch widths.
+	// ablation, 64/256 = explicit WorldBatch widths.
 	Lanes int
 	// FanOut is the default source group size for pair queries that do
 	// not set "fan_out" themselves: 0 = the planner (auto), 1 = one
-	// traversal per source (the per-source ablation), 2..64 = explicit
-	// multi-source group sizes.
+	// traversal per source (the per-source ablation), 2..64 = an explicit
+	// upper bound on the multi-source group size (see mc.Options.FanOut).
 	FanOut int
 	// Confidence, when non-nil, makes queries adaptive by default:
 	// requests without an explicit "confidence" field run sequential
@@ -549,13 +549,15 @@ type QueryRequest struct {
 	Samples int   `json:"samples,omitempty"`
 	Seed    int64 `json:"seed,omitempty"`
 	// Lanes selects the engine width: "auto" (the planner), "1" (the
-	// scalar ablation), "64", "128" or "256". Empty uses the server
-	// default. The width is an execution choice only — estimates are
-	// bit-identical across all of them.
+	// scalar ablation), "64" or "256"; any other value is a 400
+	// bad_request. Empty uses the server default. The width is an
+	// execution choice only — estimates are bit-identical across all of
+	// them.
 	Lanes string `json:"lanes,omitempty"`
-	// FanOut selects how many distinct sources one pair-query traversal
+	// FanOut bounds how many distinct sources one pair-query traversal
 	// carries: "auto" (the planner), "1" (one traversal per source, the
-	// per-source ablation) or "2".."64". Empty uses the server default.
+	// per-source ablation) or "2".."64" (an upper bound: groups without a
+	// specialized kernel run per source). Empty uses the server default.
 	// Like Lanes it is an execution choice only — per-pair estimates are
 	// bit-identical across every fan-out.
 	FanOut string `json:"fan_out,omitempty"`

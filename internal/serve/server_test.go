@@ -516,7 +516,7 @@ func TestQueryLanesAreBitIdentical(t *testing.T) {
 	if w := do(t, s, "POST", "/v1/query", base, &ref); w.Code != 200 {
 		t.Fatalf("base query: %d %s", w.Code, w.Body.String())
 	}
-	for _, lanes := range []string{"auto", "1", "64", "128", "256"} {
+	for _, lanes := range []string{"auto", "1", "64", "256"} {
 		body := map[string]any{"graph": "g", "kind": "reliability", "pairs": reqPairs, "samples": 192, "seed": 3, "lanes": lanes}
 		var resp QueryResponse
 		if w := do(t, s, "POST", "/v1/query", body, &resp); w.Code != 200 {
@@ -534,13 +534,16 @@ func TestQueryLanesAreBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	bad := map[string]any{"graph": "g", "kind": "reliability", "pairs": reqPairs, "lanes": "97"}
-	if w := do(t, s, "POST", "/v1/query", bad, nil); w.Code != 400 {
-		t.Errorf("lanes=97: %d, want 400", w.Code)
-	}
-	bad = map[string]any{"graph": "g", "kind": "connected", "lanes": "1", "confidence": map[string]any{"eps": 0.05}}
-	if w := do(t, s, "POST", "/v1/query", bad, nil); w.Code != 400 {
-		t.Errorf("scalar lanes + confidence: %d, want 400", w.Code)
+	for name, bad := range map[string]map[string]any{
+		"lanes=97":                  {"graph": "g", "kind": "reliability", "pairs": reqPairs, "lanes": "97"},
+		"lanes=128":                 {"graph": "g", "kind": "reliability", "pairs": reqPairs, "lanes": "128"},
+		"scalar lanes + confidence": {"graph": "g", "kind": "connected", "lanes": "1", "confidence": map[string]any{"eps": 0.05}},
+	} {
+		w := do(t, s, "POST", "/v1/query", bad, nil)
+		var env errorEnvelope
+		if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil || w.Code != 400 || env.Error.Code != CodeBadRequest {
+			t.Errorf("%s: %d %s, want 400 with code %q", name, w.Code, w.Body.String(), CodeBadRequest)
+		}
 	}
 }
 

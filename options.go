@@ -15,7 +15,7 @@ type Option func(*config) error
 
 // config collects the applied options. Zero values mean "method default"
 // (the paper's recommended settings, see core.Options), so an empty option
-// list reproduces ugs.Sparsify's zero-Options behavior.
+// list runs a method with the zero core.Options.
 type config struct {
 	discrepancy Discrepancy
 	backbone    Backbone
@@ -109,9 +109,10 @@ func WithCutOrder(k int) Option {
 
 // WithEntropy sets the entropy parameter h ∈ [0, 1]: when an optimal
 // probability step would increase an edge's entropy, only the fraction h of
-// the step is applied. Unlike the deprecated Options.H field, an explicit
-// WithEntropy(0) means a true zero (the HZero sentinel is applied
-// internally); omitting the option selects the paper's default 0.05.
+// the step is applied. Unlike core.Options.H, where zero means the
+// default, an explicit WithEntropy(0) means a true zero (the HZero sentinel
+// is applied internally); omitting the option selects the paper's default
+// 0.05.
 func WithEntropy(h float64) Option {
 	return func(c *config) error {
 		if !(h >= 0 && h <= 1) {

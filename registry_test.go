@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"ugs"
+	"ugs/internal/core"
 )
 
 func TestMethodsListsAllBuiltins(t *testing.T) {
@@ -140,24 +141,24 @@ func TestLookupInvalidOptions(t *testing.T) {
 
 func TestOptionsMatchDeprecatedShim(t *testing.T) {
 	// The functional options must configure exactly what the positional
-	// Options struct did, including the HZero sentinel: an explicit
+	// core.Options struct does, including the HZero sentinel: an explicit
 	// WithEntropy(0) is a true zero, and an omitted option is the 0.05
 	// default.
 	g := ugs.TwitterLike(120, 5)
 	cases := []struct {
 		name string
 		opts []ugs.Option
-		old  ugs.Options
+		old  core.Options
 	}{
 		{
 			"defaults",
 			nil,
-			ugs.Options{},
+			core.Options{},
 		},
 		{
 			"explicit entropy zero is HZero",
 			[]ugs.Option{ugs.WithEntropy(0), ugs.WithSeed(3)},
-			ugs.Options{H: ugs.HZero, Seed: 3},
+			core.Options{H: ugs.HZero, Seed: 3},
 		},
 		{
 			"full configuration",
@@ -170,7 +171,7 @@ func TestOptionsMatchDeprecatedShim(t *testing.T) {
 				ugs.WithMaxIters(17),
 				ugs.WithSeed(11),
 			},
-			ugs.Options{
+			core.Options{
 				Discrepancy: ugs.Relative,
 				Backbone:    ugs.BackboneRandom,
 				K:           2,
@@ -183,7 +184,7 @@ func TestOptionsMatchDeprecatedShim(t *testing.T) {
 		{
 			"k = n redistribution",
 			[]ugs.Option{ugs.WithCutOrder(ugs.KAll), ugs.WithSeed(7)},
-			ugs.Options{K: ugs.KAll, Seed: 7},
+			core.Options{K: ugs.KAll, Seed: 7},
 		},
 	}
 	for _, tc := range cases {
@@ -196,12 +197,12 @@ func TestOptionsMatchDeprecatedShim(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			oldGraph, oldStats, err := ugs.Sparsify(g, 0.3, tc.old)
+			oldGraph, oldStats, err := core.Sparsify(context.Background(), g, 0.3, tc.old)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !res.Graph.Equal(oldGraph) {
-				t.Error("options and Options shim produced different graphs")
+				t.Error("functional options and core.Options produced different graphs")
 			}
 			if res.Stats != *oldStats {
 				t.Errorf("stats mismatch: %+v vs %+v", res.Stats, *oldStats)
@@ -363,27 +364,6 @@ func TestCancelMidRunStopsEMDPromptly(t *testing.T) {
 	}
 	if rounds > 2 {
 		t.Errorf("EMD ran %d rounds after cancellation; not prompt", rounds)
-	}
-}
-
-func TestDeprecatedShimsStillWork(t *testing.T) {
-	// Existing callers of the positional API keep compiling and produce
-	// the same graphs as the registry path.
-	g := ugs.TwitterLike(60, 7)
-	oldNI, err := ugs.NISparsify(g, 0.3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := ugs.Lookup("ni", ugs.WithSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sp.Sparsify(context.Background(), g, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !oldNI.Equal(res.Graph) {
-		t.Error("NISparsify and Lookup(\"ni\") disagree")
 	}
 }
 
